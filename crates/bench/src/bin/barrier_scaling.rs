@@ -2,12 +2,11 @@
 //! node-0 manager versus NI-tree collectives.
 //!
 //! ```text
-//! barrier_scaling [--seed N] [--iters I] [--json PATH]
+//! barrier_scaling [--seed N] [--iters N] [--json PATH]
 //! ```
 //!
-//! With `--json PATH` the sweep is additionally written as a
-//! machine-readable report (`BENCH_barrier.json` in CI); `xtask
-//! obs-schema` checks the shape.
+//! With `--json PATH` the sweep is additionally written as a report
+//! (`BENCH_barrier.json` in CI).
 //!
 //! The workload is a synthetic barrier storm: every process writes one
 //! private shared page, computes briefly, and hits a barrier, repeated
@@ -23,55 +22,23 @@
 //!   firmware up the tree and broadcasts the release down it:
 //!   O(log_K nodes) tree depth, zero host messages, zero interrupts.
 //!
-//! Exits non-zero if the best NI-tree fanout fails to beat the host
-//! manager at 16 nodes and beyond, or if an NI-tree run takes a host
-//! interrupt or a barrier-manager message, so CI can run it as a smoke
-//! gate (`.github/workflows/ci.yml`, job `coll-smoke`). (A fanout-2
+//! Its gates (`gates::table`) fail the run if the best NI-tree fanout
+//! does not beat the host manager at 16 nodes and beyond, or if an
+//! NI-tree run takes a host interrupt or a barrier-manager message, so
+//! CI can run it as a smoke gate (`.github/workflows/ci.yml`, job `coll-smoke`). (A fanout-2
 //! tree is legitimately slower than the manager at 32+ nodes — depth
 //! log2(n) with a firmware combine per hop — which is why fanout is a
 //! swept parameter and the protocol default is 4.)
+
+use std::process::ExitCode;
 
 use genima::{
     run_app_configured, BarrierImpl, FeatureSet, RunConfig, RunReport, TextTable, Topology,
 };
 use genima_apps::{App, Arrival, Layout, OpsBuilder, WorkloadSpec};
+use genima_bench::report::{Cli, Report};
 use genima_obs::Json;
 use genima_proto::BarrierId;
-use genima_sim::RunSeed;
-
-struct Args {
-    seed: u64,
-    iters: usize,
-    json: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: barrier_scaling [--seed N] [--iters I] [--json PATH]");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: RunSeed::default().value(),
-        iters: 12,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it.next().unwrap_or_else(|| usage());
-        if flag.as_str() == "--json" {
-            args.json = Some(value);
-            continue;
-        }
-        let parsed: u64 = value.parse().unwrap_or_else(|_| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = parsed,
-            "--iters" => args.iters = parsed as usize,
-            _ => usage(),
-        }
-    }
-    args
-}
 
 /// Synthetic barrier-dominated workload: each process writes its own
 /// page (so write notices ride every episode), computes a sliver, and
@@ -130,9 +97,12 @@ fn mode_name(barrier: BarrierImpl) -> String {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let app = BarrierStorm { iters: args.iters };
+fn main() -> ExitCode {
+    let cli = Cli::parse("barrier_scaling", &["seed", "iters"], None);
+    let iters = cli.num("iters", 12) as usize;
+    let mut report = Report::new("barrier", cli.seed());
+    report.meta.set("iters", Json::u64(iters as u64));
+    let app = BarrierStorm { iters };
     let modes = [
         BarrierImpl::HostManager,
         BarrierImpl::NiTree { fanout: 2 },
@@ -140,8 +110,8 @@ fn main() {
         BarrierImpl::NiTree { fanout: 8 },
     ];
     println!(
-        "barrier scaling: {} episodes per run, seed {:#x}",
-        args.iters, args.seed
+        "barrier scaling: {iters} episodes per run, seed {:#x}",
+        report.seed
     );
 
     let mut table = TextTable::new(vec![
@@ -152,14 +122,11 @@ fn main() {
         "mgr-msgs",
         "intr",
     ]);
-    let mut failures = 0u32;
-    let mut rows = Vec::new();
+    let mut failed = 0u32;
     for &nodes in &[4usize, 8, 16, 32, 64] {
-        let mut host_us = None;
-        let mut best_ni: Option<(f64, BarrierImpl)> = None;
         for &mode in &modes {
             let cfg = RunConfig::new(Topology::new(nodes, 1), FeatureSet::genima())
-                .with_seed(args.seed)
+                .with_seed(report.seed)
                 .with_barrier(mode);
             let run = match run_app_configured(&app, &cfg) {
                 Ok(run) => run,
@@ -168,40 +135,15 @@ fn main() {
                         "FAIL {} at {nodes} nodes: run aborted: {e}",
                         mode_name(mode)
                     );
-                    failures += 1;
+                    failed += 1;
                     continue;
                 }
             };
             if let Err(e) = run.report.validate(&cfg.features) {
                 eprintln!("FAIL {} at {nodes} nodes: {e}", mode_name(mode));
-                failures += 1;
+                failed += 1;
             }
-            let us = barrier_us(&run.report, args.iters);
-            let ni = matches!(mode, BarrierImpl::NiTree { .. });
-            if ni && run.report.counters.barrier_manager_msgs != 0 {
-                eprintln!(
-                    "FAIL {} at {nodes} nodes: {} barrier-manager messages (must be 0)",
-                    mode_name(mode),
-                    run.report.counters.barrier_manager_msgs
-                );
-                failures += 1;
-            }
-            if run.report.counters.interrupts != 0 {
-                eprintln!(
-                    "FAIL {} at {nodes} nodes: {} host interrupts (must be 0 on GeNIMA)",
-                    mode_name(mode),
-                    run.report.counters.interrupts
-                );
-                failures += 1;
-            }
-            match mode {
-                BarrierImpl::HostManager => host_us = Some(us),
-                BarrierImpl::NiTree { .. } => {
-                    if best_ni.is_none_or(|(b, _)| us < b) {
-                        best_ni = Some((us, mode));
-                    }
-                }
-            }
+            let us = barrier_us(&run.report, iters);
             table.row(vec![
                 nodes.to_string(),
                 mode_name(mode),
@@ -229,37 +171,9 @@ fn main() {
             );
             row.set("interrupts", Json::u64(run.report.counters.interrupts));
             row.set("ni_barrier", Json::Bool(run.report.ni_barrier));
-            rows.push(row);
-        }
-        if let (Some(host), Some((ni, mode))) = (host_us, best_ni) {
-            if nodes >= 16 && ni >= host {
-                eprintln!(
-                    "FAIL at {nodes} nodes: best NI tree ({}, {ni:.2}us) must beat the \
-                     host manager ({host:.2}us) at scale",
-                    mode_name(mode)
-                );
-                failures += 1;
-            }
+            report.rows.push(row);
         }
     }
     println!("{table}");
-    if let Some(path) = args.json {
-        let mut root = Json::obj();
-        root.set("bench", Json::str("barrier"));
-        root.set("seed", Json::u64(args.seed));
-        root.set("iters", Json::u64(args.iters as u64));
-        root.set("rows", Json::Arr(rows));
-        match std::fs::write(&path, root.dump()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("barrier scaling: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!("barrier scaling: NI tree beats the host manager at every measured scale point");
+    report.finish(cli.json.as_deref(), failed)
 }

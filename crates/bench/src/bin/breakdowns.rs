@@ -7,72 +7,37 @@
 //! ```
 //!
 //! With `--json PATH` the full sweep is additionally written as a
-//! machine-readable report (`BENCH_breakdowns.json` in CI): one entry
-//! per application, one column object per protocol variant carrying
-//! the parallel time, speedup, category shares and every protocol
-//! counter. `xtask obs-schema` checks the shape.
+//! report (`BENCH_breakdowns.json` in CI): an `app` row per
+//! application with its sequential time, then a `column` row per
+//! protocol variant carrying the parallel time, speedup, category
+//! shares and every protocol counter. Its gates (`gates::table`)
+//! require all six columns per application.
+
+use std::process::ExitCode;
 
 use genima::{run_app_configured, sequential_time, Column, Json, RunConfig, Topology};
-use genima_apps::{all_apps, app_by_name, App};
-use genima_sim::RunSeed;
+use genima_bench::report::{topo_json, Cli, Report};
 
-struct Args {
-    seed: u64,
-    json: Option<String>,
-    apps: Vec<Box<dyn App>>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: breakdowns [--seed N] [--json PATH] [APP...]");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: RunSeed::default().value(),
-        json: None,
-        apps: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.seed = v.parse().unwrap_or_else(|_e| usage());
-            }
-            "--json" => {
-                args.json = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            name => match app_by_name(name) {
-                Some(app) => args.apps.push(app),
-                None => {
-                    eprintln!("unknown app: {name}");
-                    usage()
-                }
-            },
-        }
-    }
-    if args.apps.is_empty() {
-        args.apps = all_apps();
-    }
-    args
-}
-
-fn main() {
+fn main() -> ExitCode {
     let topo = Topology::new(4, 4);
-    let args = parse_args();
-    let mut apps_json = Json::obj();
-    for app in &args.apps {
+    let cli = Cli::parse("breakdowns", &["seed"], Some("APP"));
+    let mut report = Report::new("breakdowns", cli.seed());
+    report.meta.set("topo", topo_json(topo));
+    for app in cli.apps() {
         let seq = sequential_time(app.as_ref());
         println!("== {} (seq {:?})", app.name(), seq);
-        let mut columns = Json::obj();
+        let mut row = Json::obj();
+        row.set("kind", Json::str("app"));
+        row.set("app", Json::str(app.name()));
+        row.set("sequential_ms", Json::num(seq.as_ms()));
+        report.rows.push(row);
         for column in Column::all() {
-            let cfg = RunConfig::from_column(topo, column).with_seed(args.seed);
+            let cfg = RunConfig::from_column(topo, column).with_seed(report.seed);
             let r = match run_app_configured(app.as_ref(), &cfg) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("FAIL {} on {}: {e}", column.name(), app.name());
-                    std::process::exit(1)
+                    return ExitCode::FAILURE;
                 }
             };
             let b = r.report.mean_breakdown();
@@ -84,42 +49,21 @@ fn main() {
                 c.faults, c.page_transfers, c.fetch_retries, c.interrupts, c.diffs, c.diff_run_messages, c.notice_messages,
                 b.mprotect.as_ms(),
             );
-            if args.json.is_some() {
-                let full = r.report.to_json_value();
-                let mut col = Json::obj();
-                col.set("parallel_ms", Json::num(r.report.parallel_time().as_ms()));
-                col.set("speedup", Json::num(r.report.speedup(seq)));
-                for key in ["shares", "counters"] {
-                    match full.get(key) {
-                        Some(v) => col.set(key, v.clone()),
-                        None => unreachable!("report JSON always has {key}"),
-                    };
-                }
-                columns.set(column.name(), col);
+            let full = r.report.to_json_value();
+            let mut row = Json::obj();
+            row.set("kind", Json::str("column"));
+            row.set("app", Json::str(app.name()));
+            row.set("column", Json::str(column.name()));
+            row.set("parallel_ms", Json::num(r.report.parallel_time().as_ms()));
+            row.set("speedup", Json::num(r.report.speedup(seq)));
+            for key in ["shares", "counters"] {
+                match full.get(key) {
+                    Some(v) => row.set(key, v.clone()),
+                    None => unreachable!("report JSON always has {key}"),
+                };
             }
-        }
-        if args.json.is_some() {
-            let mut entry = Json::obj();
-            entry.set("sequential_ms", Json::num(seq.as_ms()));
-            entry.set("columns", columns);
-            apps_json.set(app.name(), entry);
+            report.rows.push(row);
         }
     }
-    if let Some(path) = args.json {
-        let mut root = Json::obj();
-        root.set("bench", Json::str("breakdowns"));
-        root.set("seed", Json::u64(args.seed));
-        let mut topo_json = Json::obj();
-        topo_json.set("nodes", Json::u64(topo.nodes as u64));
-        topo_json.set("procs_per_node", Json::u64(topo.procs_per_node as u64));
-        root.set("topo", topo_json);
-        root.set("apps", apps_json);
-        match std::fs::write(&path, root.dump()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-        }
-    }
+    report.finish(cli.json.as_deref(), 0)
 }

@@ -7,14 +7,13 @@
 //! rdma_bench [--seed N] [--json PATH] [APP...]
 //! ```
 //!
-//! With `--json PATH` the sweep is written as a machine-readable
-//! report (`BENCH_rdma.json` in CI): one row per (application,
-//! hardware profile) carrying the parallel time, speedup over the
-//! sequential run, the host-interrupt count, and the RNIC's own
-//! counters (doorbells rung, CQEs posted, ODP faults taken).
-//! `xtask obs-schema` checks the shape.
+//! With `--json PATH` the sweep is written as a report
+//! (`BENCH_rdma.json` in CI): one row per (application, hardware
+//! profile) carrying the parallel time, speedup over the sequential
+//! run, the host-interrupt count, and the RNIC's own counters
+//! (doorbells rung, CQEs posted, ODP faults taken).
 //!
-//! The binary is its own sanity gate and exits non-zero when the
+//! The report's gates (`gates::table`) fail the run when the
 //! comparison stops making sense:
 //!
 //! * both profiles must take **zero** host interrupts (the full
@@ -25,66 +24,25 @@
 //!   application — if modern hardware loses to a 33 MHz LANai, the
 //!   model is wrong.
 
+use std::process::ExitCode;
+
 use genima::{run_app_on, sequential_time, Column, Json, Topology};
-use genima_apps::{all_apps, app_by_name, App};
-use genima_sim::RunSeed;
+use genima_bench::report::{topo_json, Cli, Report};
 
-struct Args {
-    seed: u64,
-    json: Option<String>,
-    apps: Vec<Box<dyn App>>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: rdma_bench [--seed N] [--json PATH] [APP...]");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: RunSeed::default().value(),
-        json: None,
-        apps: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.seed = v.parse().unwrap_or_else(|_e| usage());
-            }
-            "--json" => {
-                args.json = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            name => match app_by_name(name) {
-                Some(app) => args.apps.push(app),
-                None => {
-                    eprintln!("unknown app: {name}");
-                    usage()
-                }
-            },
-        }
-    }
-    if args.apps.is_empty() {
-        args.apps = all_apps();
-    }
-    args
-}
-
-fn main() {
+fn main() -> ExitCode {
     let topo = Topology::new(4, 4);
-    let args = parse_args();
+    let cli = Cli::parse("rdma_bench", &["seed"], Some("APP"));
+    let mut report = Report::new("rdma", cli.seed());
+    report.meta.set("topo", topo_json(topo));
     let columns = [
         Column::lanai(genima::FeatureSet::genima()),
         Column::genima_2025(),
     ];
-    let mut failures = 0u32;
-    let mut rows = Vec::new();
     println!(
         "{:<16} {:>12} {:>9} {:>8} {:>6} {:>10} {:>10} {:>6}",
         "app/profile", "time(ms)", "speedup", "vs-1999", "intr", "doorbells", "cqes", "odp"
     );
-    for app in &args.apps {
+    for app in cli.apps() {
         let seq = sequential_time(app.as_ref());
         let mut lanai_ms = 0.0f64;
         for column in columns {
@@ -108,42 +66,6 @@ fn main() {
                 r.ni.cqes,
                 r.ni.odp_faults,
             );
-            if r.counters.interrupts != 0 {
-                eprintln!(
-                    "FAIL {} on {}: {} host interrupts (GeNIMA is interrupt-free)",
-                    app.name(),
-                    r.hw,
-                    r.counters.interrupts
-                );
-                failures += 1;
-            }
-            if column.hw.is_rdma() {
-                if r.ni.doorbells == 0 || r.ni.cqes == 0 {
-                    eprintln!(
-                        "FAIL {} on {}: RNIC counters flat (doorbells {}, cqes {})",
-                        app.name(),
-                        r.hw,
-                        r.ni.doorbells,
-                        r.ni.cqes
-                    );
-                    failures += 1;
-                }
-                if vs_1999 <= 1.0 {
-                    eprintln!(
-                        "FAIL {}: 2025 hardware ({ms:.2} ms) does not beat 1999 \
-                         ({lanai_ms:.2} ms)",
-                        app.name()
-                    );
-                    failures += 1;
-                }
-            } else if r.ni.doorbells != 0 || r.ni.cqes != 0 || r.ni.odp_faults != 0 {
-                eprintln!(
-                    "FAIL {} on {}: LANai rows must not report RNIC counters",
-                    app.name(),
-                    r.hw
-                );
-                failures += 1;
-            }
             let mut row = Json::obj();
             row.set("app", Json::str(app.name()));
             row.set("column", Json::str(column.name()));
@@ -156,29 +78,8 @@ fn main() {
             row.set("cqes", Json::u64(r.ni.cqes));
             row.set("odp_faults", Json::u64(r.ni.odp_faults));
             row.set("op_latency", r.op_latency.json());
-            rows.push(row);
+            report.rows.push(row);
         }
     }
-    if let Some(path) = args.json {
-        let mut root = Json::obj();
-        root.set("bench", Json::str("rdma"));
-        root.set("seed", Json::u64(args.seed));
-        let mut topo_json = Json::obj();
-        topo_json.set("nodes", Json::u64(topo.nodes as u64));
-        topo_json.set("procs_per_node", Json::u64(topo.procs_per_node as u64));
-        root.set("topo", topo_json);
-        root.set("rows", Json::Arr(rows));
-        match std::fs::write(&path, root.dump() + "\n") {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("rdma bench: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!("rdma bench: all comparisons sane");
+    report.finish(cli.json.as_deref(), 0)
 }

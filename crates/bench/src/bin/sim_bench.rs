@@ -3,12 +3,11 @@
 //! whole-system events/sec and steady-state allocation rates.
 //!
 //! ```text
-//! sim_bench [--seed N] [--iters I] [--json PATH]
+//! sim_bench [--seed N] [--iters N] [--json PATH]
 //! ```
 //!
-//! With `--json PATH` the sweep is additionally written as a
-//! machine-readable report (`BENCH_engine.json` in CI); `xtask
-//! obs-schema` checks the shape.
+//! With `--json PATH` the sweep is additionally written as a report
+//! (`BENCH_engine.json` in CI).
 //!
 //! Two measurement families:
 //!
@@ -23,20 +22,23 @@
 //!   events per wall-clock second and heap allocations per event via a
 //!   counting global allocator.
 //!
-//! Exits non-zero (the CI `engine-smoke` gate) if the wheel is not at
-//! least 3× the heap on the largest hold population, or if the wheel's
+//! The gates (`gates::table`) fail the run (the CI `engine-smoke`
+//! gate) if the wheel is not at least 3× the heap on the largest hold
+//! population, or if the wheel's
 //! steady-state allocation rate exceeds 0.1 allocations per event —
 //! the arena-style slot storage must recycle its capacity, not
 //! reallocate per event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use genima::{run_app_on, Column, TextTable, Topology};
 use genima_apps::{App, Fft, OceanRowwise};
+use genima_bench::report::{Cli, Report};
 use genima_obs::Json;
-use genima_sim::{EventQueue, HeapQueue, RunSeed, SplitMix64, Time};
+use genima_sim::{EventQueue, HeapQueue, SplitMix64, Time};
 
 /// Counts every allocation (and reallocation) so steady-state
 /// allocations-per-event can be gated. Frees are not interesting here.
@@ -65,40 +67,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-struct Args {
-    seed: u64,
-    iters: usize,
-    json: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: sim_bench [--seed N] [--iters I] [--json PATH]");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: RunSeed::default().value(),
-        iters: 200_000,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it.next().unwrap_or_else(|| usage());
-        if flag.as_str() == "--json" {
-            args.json = Some(value);
-            continue;
-        }
-        let parsed: u64 = value.parse().unwrap_or_else(|_| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = parsed,
-            "--iters" => args.iters = parsed as usize,
-            _ => usage(), // lint: allow-wildcard — open set of CLI flags
-        }
-    }
-    args
 }
 
 /// Hold-model offset: uniform in [1µs, 1ms). The lower bound keeps the
@@ -210,15 +178,15 @@ fn run_system(app: &dyn App, column: Column) -> SysResult {
     }
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    let cli = Cli::parse("sim_bench", &["seed", "iters"], None);
+    let iters = cli.num("iters", 200_000) as usize;
+    let mut report = Report::new("engine", cli.seed());
+    report.meta.set("iters", Json::u64(iters as u64));
     println!(
-        "engine hot path: {} hold steps per population, seed {:#x}",
-        args.iters, args.seed
+        "engine hot path: {iters} hold steps per population, seed {:#x}",
+        report.seed
     );
-
-    let mut failures = 0u32;
-    let mut rows = Vec::new();
 
     let mut table = TextTable::new(vec![
         "hold",
@@ -227,16 +195,10 @@ fn main() {
         "speedup",
         "allocs/ev",
     ]);
-    let mut gate_speedup = 0.0;
-    let mut gate_allocs = 0.0;
     for pow in [10u32, 14, 17] {
         let n = 1usize << pow;
-        let r = run_hold(args.seed ^ pow as u64, n, args.iters);
+        let r = run_hold(report.seed ^ pow as u64, n, iters);
         let speedup = r.heap_ns / r.wheel_ns;
-        if pow == 17 {
-            gate_speedup = speedup;
-            gate_allocs = r.wheel_allocs_per_event;
-        }
         table.row(vec![
             format!("2^{pow}"),
             format!("{:.1}", r.heap_ns),
@@ -255,20 +217,9 @@ fn main() {
             "wheel_allocs_per_event",
             Json::num(r.wheel_allocs_per_event),
         );
-        rows.push(row);
+        report.rows.push(row);
     }
     println!("{table}");
-
-    if gate_speedup < 3.0 {
-        eprintln!("FAIL hold-2^17: wheel only {gate_speedup:.2}x the heap baseline (need >= 3x)");
-        failures += 1;
-    }
-    if gate_allocs > 0.1 {
-        eprintln!(
-            "FAIL hold-2^17: {gate_allocs:.3} allocations per event in steady state (need <= 0.1)"
-        );
-        failures += 1;
-    }
 
     let apps: Vec<(&str, Box<dyn App>)> = vec![
         ("ocean", Box::new(OceanRowwise::with_grid(256, 8))),
@@ -291,31 +242,9 @@ fn main() {
             row.set("events", Json::u64(r.events));
             row.set("events_per_sec", Json::num(r.events_per_sec));
             row.set("allocs_per_event", Json::num(r.allocs_per_event));
-            rows.push(row);
+            report.rows.push(row);
         }
     }
     println!("{stable}");
-
-    if let Some(path) = args.json {
-        let mut root = Json::obj();
-        root.set("bench", Json::str("engine"));
-        root.set("seed", Json::u64(args.seed));
-        root.set("iters", Json::u64(args.iters as u64));
-        root.set("rows", Json::Arr(rows));
-        match std::fs::write(&path, root.dump()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1)
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("engine bench: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!(
-        "engine bench: wheel {gate_speedup:.2}x the heap at 2^17 pending, \
-         {gate_allocs:.4} allocs/event — past the gate"
-    );
+    report.finish(cli.json.as_deref(), 0)
 }
