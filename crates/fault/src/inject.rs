@@ -7,6 +7,7 @@ use genima_net::{Fate, FaultInjector, NicId, PacketCtx};
 use genima_sim::{Dur, RunSeed, SplitMix64, Time};
 
 use crate::plan::{FaultPlan, TargetAction};
+use crate::window::{LinkMax, NodeWindows};
 
 /// Counters of what an injector actually did to a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,6 +63,12 @@ pub type StatsHandle = Rc<RefCell<FaultStats>>;
 #[derive(Debug)]
 pub struct PlanInjector {
     plan: FaultPlan,
+    /// Outage windows open on each destination node at a given time.
+    outages: NodeWindows,
+    /// Summed firmware stall, in ns, of each NI at a given time.
+    stalls: NodeWindows,
+    /// Largest jitter bound on each directed link.
+    jitter: LinkMax,
     /// One draw per packet decides the drop/duplicate/delay band.
     fate_rng: SplitMix64,
     /// Draws for delay amounts and link jitter.
@@ -72,13 +79,24 @@ pub struct PlanInjector {
 }
 
 impl PlanInjector {
-    /// Compiles `plan` under `seed`.
+    /// Compiles `plan` under `seed`, indexing its windows and link
+    /// rules once.
     pub fn new(plan: FaultPlan, seed: RunSeed) -> PlanInjector {
         let fired = vec![false; plan.targets.len()];
+        let outages = NodeWindows::build(plan.outages.iter().map(|o| (o.node, o.from, o.until, 1)));
+        let stalls = NodeWindows::build(
+            plan.stalls
+                .iter()
+                .map(|w| (w.nic, w.from, w.until, w.stall.as_ns())),
+        );
+        let jitter = LinkMax::build(&plan.jitter);
         PlanInjector {
             fate_rng: seed.stream("fault.fate"),
             delay_rng: seed.stream("fault.delay"),
             fired,
+            outages,
+            stalls,
+            jitter,
             plan,
             stats: Rc::new(RefCell::new(FaultStats::default())),
         }
@@ -106,14 +124,7 @@ impl PlanInjector {
     /// Extra jitter for a delivery on `src → dst`, zero when no link
     /// rule matches.
     fn jitter_for(&mut self, src: NicId, dst: NicId) -> Dur {
-        let max = self
-            .plan
-            .jitter
-            .iter()
-            .filter(|j| j.src == src && j.dst == dst)
-            .map(|j| j.max)
-            .fold(Dur::ZERO, Dur::max);
-        self.draw_delay(max)
+        self.draw_delay(self.jitter.get(src, dst))
     }
 
     /// The first unfired targeted rule matching this first-transmission
@@ -133,13 +144,6 @@ impl PlanInjector {
         }
         None
     }
-
-    fn in_outage(&self, dst: NicId, now: Time) -> bool {
-        self.plan
-            .outages
-            .iter()
-            .any(|o| o.node == dst && o.from <= now && now < o.until)
-    }
 }
 
 impl FaultInjector for PlanInjector {
@@ -148,7 +152,7 @@ impl FaultInjector for PlanInjector {
 
         // 1. A node in an outage window receives nothing — not even a
         //    lucky retransmission.
-        if self.in_outage(ctx.dst, ctx.now) {
+        if self.outages.at(ctx.dst, ctx.now) > 0 {
             self.stats.borrow_mut().outage_drops += 1;
             return Fate::Drop;
         }
@@ -200,13 +204,7 @@ impl FaultInjector for PlanInjector {
     }
 
     fn recv_stall(&mut self, nic: NicId, now: Time) -> Dur {
-        let stall: Dur = self
-            .plan
-            .stalls
-            .iter()
-            .filter(|w| w.nic == nic && w.from <= now && now < w.until)
-            .map(|w| w.stall)
-            .sum();
+        let stall = Dur::from_ns(self.stalls.at(nic, now));
         if !stall.is_zero() {
             self.stats.borrow_mut().stalls += 1;
         }
@@ -217,6 +215,8 @@ impl FaultInjector for PlanInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{LinkJitter, Outage, StallWindow};
+    use proptest::prelude::*;
 
     fn ctx(src: usize, dst: usize, seq: u64, attempt: u32, now_ns: u64) -> PacketCtx {
         PacketCtx {
@@ -374,5 +374,92 @@ mod tests {
         let mut boxed: Box<dyn FaultInjector> = Box::new(inj);
         assert!(boxed.fate(ctx(0, 1, 1, 0, 1)).is_drop());
         assert_eq!(handle.borrow().dropped, 1);
+    }
+
+    /// Nodes queried by the index property: the four the generated
+    /// rules name, plus one no rule names.
+    const NODES: usize = 5;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windows and link rules indexed at construction answer
+        /// exactly what a linear scan of the plan answers. Times come
+        /// from a small range so overlapping, adjacent and empty
+        /// (`from >= until`) windows are all common; the plan is built
+        /// field by field because the builder rejects empty windows.
+        #[test]
+        fn indexed_lookups_match_linear_scans(
+            outages in prop::collection::vec((0usize..4, 0u64..40, 0u64..40), 0..12),
+            stalls in prop::collection::vec((0usize..4, 0u64..40, 0u64..40, 0u64..5), 0..8),
+            jitter in prop::collection::vec((0usize..4, 0usize..4, 0u64..50), 0..8),
+        ) {
+            let plan = FaultPlan {
+                outages: outages
+                    .iter()
+                    .map(|&(n, f, u)| Outage {
+                        node: NicId::new(n),
+                        from: Time::from_ns(f),
+                        until: Time::from_ns(u),
+                    })
+                    .collect(),
+                stalls: stalls
+                    .iter()
+                    .map(|&(n, f, u, d)| StallWindow {
+                        nic: NicId::new(n),
+                        from: Time::from_ns(f),
+                        until: Time::from_ns(u),
+                        stall: Dur::from_us(d),
+                    })
+                    .collect(),
+                jitter: jitter
+                    .iter()
+                    .map(|&(s, d, m)| LinkJitter {
+                        src: NicId::new(s),
+                        dst: NicId::new(d),
+                        max: Dur::from_ns(m),
+                    })
+                    .collect(),
+                ..FaultPlan::none()
+            };
+            let inj = PlanInjector::new(plan.clone(), RunSeed::new(1));
+            let edges = plan
+                .outages
+                .iter()
+                .flat_map(|o| [o.from, o.until])
+                .chain(plan.stalls.iter().flat_map(|w| [w.from, w.until]));
+            let mut probes: Vec<Time> = edges
+                .flat_map(|t| {
+                    let ns = t.as_ns();
+                    [ns.saturating_sub(1), ns].map(Time::from_ns)
+                })
+                .collect();
+            probes.push(Time::ZERO);
+            for node in (0..NODES).map(NicId::new) {
+                for &t in &probes {
+                    let in_outage = plan
+                        .outages
+                        .iter()
+                        .any(|o| o.node == node && o.from <= t && t < o.until);
+                    prop_assert_eq!(inj.outages.at(node, t) > 0, in_outage);
+                    let stall: Dur = plan
+                        .stalls
+                        .iter()
+                        .filter(|w| w.nic == node && w.from <= t && t < w.until)
+                        .map(|w| w.stall)
+                        .sum();
+                    prop_assert_eq!(Dur::from_ns(inj.stalls.at(node, t)), stall);
+                }
+                for dst in (0..NODES).map(NicId::new) {
+                    let max = plan
+                        .jitter
+                        .iter()
+                        .filter(|j| j.src == node && j.dst == dst)
+                        .map(|j| j.max)
+                        .fold(Dur::ZERO, Dur::max);
+                    prop_assert_eq!(inj.jitter.get(node, dst), max);
+                }
+            }
+        }
     }
 }

@@ -28,6 +28,7 @@
 
 mod inject;
 mod plan;
+mod window;
 
 pub use inject::{FaultStats, PlanInjector, StatsHandle};
 pub use plan::{FaultPlan, TargetAction};

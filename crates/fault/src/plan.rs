@@ -234,7 +234,12 @@ impl FaultPlan {
     /// Stalls `nic`'s firmware by `stall` before each delivery it
     /// services in the window `[from, until)` — a transient NI firmware
     /// hang.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`from >= until`).
     pub fn stall(mut self, nic: NicId, from: Time, until: Time, stall: Dur) -> FaultPlan {
+        check_window(from, until);
         self.stalls.push(StallWindow {
             nic,
             from,
@@ -248,7 +253,12 @@ impl FaultPlan {
     /// to it during the window is lost, including retransmissions.
     /// Senders whose backoff outlives the window recover; a window
     /// longer than the full retry budget surfaces `PeerUnreachable`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`from >= until`).
     pub fn outage(mut self, node: NicId, from: Time, until: Time) -> FaultPlan {
+        check_window(from, until);
         self.outages.push(Outage { node, from, until });
         self
     }
@@ -264,6 +274,15 @@ impl FaultPlan {
             "combined drop+duplicate+delay probability {total} exceeds 1"
         );
     }
+}
+
+/// A `[from, until)` window that contains no instant would never fire;
+/// reject it rather than silently accept a rule that does nothing.
+fn check_window(from: Time, until: Time) {
+    assert!(
+        from < until,
+        "fault window [{from}, {until}) is empty: `from` must precede `until`"
+    );
 }
 
 impl Default for FaultPlan {
@@ -306,6 +325,34 @@ mod tests {
     fn rates_must_sum_below_one() {
         let plan = FaultPlan::new().drop_rate(0.6).duplicate_rate(0.5);
         drop(plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "is empty")]
+    fn outage_window_must_not_be_empty() {
+        let t = Time::from_ns(5);
+        drop(FaultPlan::new().outage(NicId::new(1), t, t));
+    }
+
+    #[test]
+    #[should_panic(expected = "is empty")]
+    fn outage_window_must_not_be_inverted() {
+        let plan = FaultPlan::new().outage(NicId::new(1), Time::from_ns(9), Time::from_ns(3));
+        drop(plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "is empty")]
+    fn stall_window_must_not_be_empty() {
+        let t = Time::from_ns(5);
+        drop(FaultPlan::new().stall(NicId::new(0), t, t, Dur::from_us(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "is empty")]
+    fn stall_window_must_not_be_inverted() {
+        let (from, until) = (Time::from_ns(9), Time::from_ns(3));
+        drop(FaultPlan::new().stall(NicId::new(0), from, until, Dur::from_us(1)));
     }
 
     #[test]

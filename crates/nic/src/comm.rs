@@ -2,7 +2,7 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use genima_coll::{Action, CollId, CollState, ReduceOp};
 use genima_net::{Fate, FaultInjector, NetConfig, Network, NicId};
@@ -12,6 +12,7 @@ use genima_obs::{
 use genima_sim::{Dur, InlineVec, Time};
 
 use crate::config::NicConfig;
+use crate::dedupe::SeenSeqs;
 use crate::lock::{FwLock, LockId, SlotState};
 use crate::model::{LanaiModel, NiModel, NiStats};
 use crate::monitor::{Monitor, SizeClass, Stage};
@@ -147,7 +148,7 @@ pub struct Comm {
     seq_next: Vec<u64>,
     /// Sequence numbers already processed at each destination, per
     /// channel — the home-side duplicate-suppression table.
-    seen: Vec<HashSet<u64>>,
+    seen: Vec<SeenSeqs>,
     /// Loss-recovery counters.
     recovery: RecoveryStats,
     /// Reusable buffer for collective state-machine actions (the
@@ -255,7 +256,7 @@ impl Comm {
         let ports = self.ports;
         self.injector = Some(injector);
         self.seq_next = vec![0; ports * ports];
-        self.seen = (0..ports * ports).map(|_| HashSet::new()).collect();
+        self.seen = vec![SeenSeqs::default(); ports * ports];
     }
 
     /// Returns `true` when a fault injector is installed.

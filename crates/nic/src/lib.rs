@@ -34,6 +34,7 @@
 
 mod comm;
 mod config;
+mod dedupe;
 mod lock;
 mod model;
 mod monitor;
