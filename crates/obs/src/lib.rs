@@ -10,7 +10,9 @@
 //!   disabled, because no recorder exists at all;
 //! * a Chrome `trace_event`/Perfetto timeline exporter
 //!   ([`timeline_json`]) with one track per node host and one per NI
-//!   firmware, and flow arrows for cross-node handoffs;
+//!   firmware, and flow arrows for cross-node handoffs, streamed into
+//!   one buffer and checked by a tree-free validator
+//!   ([`validate_trace`]);
 //! * a dependency-free JSON value ([`Json`]) used for `RunReport`
 //!   serialization, `BENCH_*.json` trajectories and schema checks;
 //! * text summaries ([`trace_top`], [`monitor_tables`]) shared by
